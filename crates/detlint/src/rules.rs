@@ -32,9 +32,9 @@ pub const RULES: [RuleInfo; 8] = [
     RuleInfo {
         id: "D002",
         summary: "wall-clock read (`Instant::now`/`SystemTime::now`/`UNIX_EPOCH`) outside \
-                  `crates/bench`",
-        help: "results must not depend on wall time; measure in `crates/bench`, or waive with \
-               `// detlint: allow(D002) reason=...`",
+                  the benchmarks (`crates/bench`, `perfbench`)",
+        help: "results must not depend on wall time; measure in `crates/bench` or `perfbench`, \
+               or waive with `// detlint: allow(D002) reason=...`",
     },
     RuleInfo {
         id: "D003",
@@ -110,7 +110,9 @@ impl RuleSet {
         d005: false,
     };
 
-    /// `crates/bench`: timing is its whole point; only entropy is policed.
+    /// The benchmarks (`crates/bench`, `perfbench`): timing is their
+    /// whole point; only entropy is policed. Not being strict also keeps
+    /// them out of the hot-path call graph.
     pub const BENCH: RuleSet = RuleSet {
         d001: false,
         d002: false,
@@ -157,7 +159,7 @@ pub fn classify(rel_path: &str) -> Option<RuleSet> {
     {
         return None;
     }
-    if p.starts_with("crates/bench/") {
+    if p.starts_with("crates/bench/") || p.starts_with("perfbench/") {
         return Some(RuleSet::BENCH);
     }
     let in_dir = |d: &str| p.starts_with(&format!("{d}/")) || p.contains(&format!("/{d}/"));
@@ -464,7 +466,7 @@ fn check_ident(path: &str, code: &[Tok], i: usize, t: &Tok, r: RuleSet, out: &mu
                 "D002",
                 path,
                 t,
-                format!("wall-clock read `{}::now()` outside `crates/bench`", t.text),
+                format!("wall-clock read `{}::now()` outside the benchmarks", t.text),
             ));
         }
         "UNIX_EPOCH" if r.d002 => {
@@ -472,7 +474,7 @@ fn check_ident(path: &str, code: &[Tok], i: usize, t: &Tok, r: RuleSet, out: &mu
                 "D002",
                 path,
                 t,
-                "wall-clock anchor `UNIX_EPOCH` outside `crates/bench`".to_string(),
+                "wall-clock anchor `UNIX_EPOCH` outside the benchmarks".to_string(),
             ));
         }
         "thread_rng" | "from_entropy" | "OsRng" | "getrandom" if r.d003 => {
@@ -710,6 +712,21 @@ mod tests {
             "fn f() { let t = std::time::Instant::now(); }"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn perfbench_gets_the_bench_profile() {
+        for path in ["perfbench/src/main.rs", "perfbench/src/spans.rs"] {
+            assert_eq!(classify(path), Some(RuleSet::BENCH), "{path}");
+            assert!(check(path, "fn f() { let t = std::time::Instant::now(); }").is_empty());
+            let ds = check(path, "fn f() { let r = rand::thread_rng(); }");
+            assert_eq!(ds.len(), 1, "{path}: entropy stays policed");
+        }
+        // Only the top-level directory is exempt.
+        assert_eq!(
+            classify("crates/sbed/src/perfbench/x.rs"),
+            Some(RuleSet::strict(true))
+        );
     }
 
     #[test]

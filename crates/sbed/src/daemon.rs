@@ -3,12 +3,35 @@
 //! Threading model (std blocking I/O, no async runtime):
 //!
 //! * one **accept** thread (non-blocking listener, poll + sleep) that
-//!   spawns a reader/writer pair per connection;
+//!   numbers each connection and spawns a reader/writer pair for it;
 //! * per connection, a **reader** thread that frames and checks
 //!   requests, answers transport-level damage with typed error
 //!   responses, and enqueues well-formed frames, plus a **writer**
 //!   thread that owns the outbound half of the socket;
 //! * one **engine** thread that owns the [`ScoreSession`].
+//!
+//! Transport batching: the per-frame cost is thread hand-offs and
+//! syscalls, not scoring, so each hop moves as many bytes as it can.
+//!
+//! * The reader frames requests out of a [`READ_BUF`]-byte
+//!   [`BufReader`]: one `read` drains every frame a pipelining client
+//!   has sent. Reader→engine stays one message per frame, so
+//!   `queue_capacity` still counts frames.
+//! * The engine appends each response to its connection's *outbox*
+//!   (keyed by the accept thread's connection number) instead of
+//!   sending it on its own. An outbox goes to its writer as one buffer
+//!   when the engine's queue runs empty, or once `conn_window` frames
+//!   from that connection were admitted since its last send, whichever
+//!   comes first. A step that emitted SCORES sends every outbox at
+//!   once, so a decision never waits behind the frames that queued up
+//!   while its batch was scored. A response the engine sends directly
+//!   (stale, duplicate or overflow refusal, scoring failure, drain
+//!   refusal) goes out with that connection's outbox, behind the
+//!   responses already in it, so every connection receives the
+//!   engine's responses in exactly the engine's emission order:
+//!   ACK(R), the SCORES that R's step flushed, then ACK(R+1).
+//! * The writer concatenates everything queued for it into one
+//!   `write_all`.
 //!
 //! Determinism under concurrency: the request id of every frame is its
 //! *admission sequence number*. The engine holds early arrivals in a
@@ -38,11 +61,11 @@ use crate::wire::{self, ReportPayload};
 use crate::{Result, SbedError};
 use mlkit::artifact::fnv1a64;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,6 +78,8 @@ use titan_sim::topology::Topology;
 const POLL: Duration = Duration::from_millis(5);
 /// Socket read timeout so readers notice shutdown.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// Capacity of each connection's read buffer.
+const READ_BUF: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -69,7 +94,8 @@ pub struct DaemonConfig {
     /// connections awaiting the sequencer).
     pub queue_capacity: usize,
     /// Per-connection in-flight window (requests admitted but not yet
-    /// fully answered).
+    /// fully answered). Also the most admitted frames whose responses
+    /// the engine batches for one connection before sending them.
     pub conn_window: usize,
     /// Reorder-buffer bound (early arrivals held for the sequencer).
     pub reorder_capacity: usize,
@@ -153,8 +179,7 @@ pub struct DaemonReport {
 struct PendingFrame {
     kind: u16,
     payload: Vec<u8>,
-    reply: mpsc::Sender<Vec<u8>>,
-    inflight: Arc<AtomicUsize>,
+    slot: ReplySlot,
 }
 
 enum ToEngine {
@@ -177,17 +202,21 @@ fn io_err(context: &str, source: std::io::Error) -> SbedError {
     }
 }
 
-/// Builds and sends a direct (non-session) error response. These
-/// answer frames the sequencer never admitted, so they are outside the
-/// replay surface by design.
-fn respond_error(reply: &mpsc::Sender<Vec<u8>>, request_id: u64, code: u16, message: &str) {
+/// Encodes a direct (non-session) error response. These answer frames
+/// the sequencer never admitted, so they are outside the replay surface
+/// by design.
+fn error_frame(request_id: u64, code: u16, message: &str) -> Vec<u8> {
     let payload = wire::ErrorPayload {
         code,
         message: message.to_string(),
     }
     .encode();
-    let frame = wire::encode_frame(wire::KIND_ERROR, request_id, &payload);
-    reply.send(frame).ok();
+    wire::encode_frame(wire::KIND_ERROR, request_id, &payload)
+}
+
+/// Sends a direct error response straight to a connection's writer.
+fn respond_error(reply: &mpsc::Sender<Vec<u8>>, request_id: u64, code: u16, message: &str) {
+    reply.send(error_frame(request_id, code, message)).ok();
 }
 
 /// A running daemon. Spawn with [`Daemon::spawn`], stop with a client
@@ -259,29 +288,20 @@ impl Daemon {
         };
 
         let accept = {
-            let engine_tx = engine_tx.clone();
-            let draining = Arc::clone(&draining);
-            let shutdown = Arc::clone(&shutdown);
+            let ctx = ConnCtx {
+                engine_tx: engine_tx.clone(),
+                draining: Arc::clone(&draining),
+                shutdown: Arc::clone(&shutdown),
+                transport_errors: Arc::clone(&transport_errors),
+                n_overloads: Arc::clone(&n_overloads),
+                conn_window: cfg.conn_window,
+                queue_capacity: cfg.queue_capacity,
+            };
             let n_connections = Arc::clone(&n_connections);
-            let transport_errors = Arc::clone(&transport_errors);
-            let n_overloads = Arc::clone(&n_overloads);
             let conn_handles = Arc::clone(&conn_handles);
-            let conn_window = cfg.conn_window;
             std::thread::Builder::new()
                 .name("sbed-accept".into())
-                .spawn(move || {
-                    run_accept(
-                        listener,
-                        engine_tx,
-                        draining,
-                        shutdown,
-                        n_connections,
-                        transport_errors,
-                        n_overloads,
-                        conn_handles,
-                        conn_window,
-                    )
-                })
+                .spawn(move || run_accept(listener, ctx, n_connections, conn_handles))
                 .map_err(|e| io_err("spawning accept thread", e))?
         };
 
@@ -393,45 +413,37 @@ impl Daemon {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_accept(
-    listener: TcpListener,
+/// What every connection's reader shares with the daemon.
+#[derive(Clone)]
+struct ConnCtx {
     engine_tx: SyncSender<ToEngine>,
     draining: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
-    n_connections: Arc<AtomicU64>,
     transport_errors: Arc<AtomicU64>,
     n_overloads: Arc<AtomicU64>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     conn_window: usize,
+    queue_capacity: usize,
+}
+
+fn run_accept(
+    listener: TcpListener,
+    ctx: ConnCtx,
+    n_connections: Arc<AtomicU64>,
+    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if ctx.shutdown.load(Ordering::SeqCst) {
             break;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                n_connections.fetch_add(1, Ordering::SeqCst);
+                // The count so far doubles as the connection's number.
+                let conn = n_connections.fetch_add(1, Ordering::SeqCst);
                 stream.set_nodelay(true).ok();
-                let engine_tx = engine_tx.clone();
-                let draining = Arc::clone(&draining);
-                let shutdown = Arc::clone(&shutdown);
-                let transport_errors = Arc::clone(&transport_errors);
-                let n_overloads = Arc::clone(&n_overloads);
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("sbed-conn".into())
-                        .spawn(move || {
-                            run_reader(
-                                stream,
-                                engine_tx,
-                                draining,
-                                shutdown,
-                                transport_errors,
-                                n_overloads,
-                                conn_window,
-                            );
-                        });
+                let ctx = ctx.clone();
+                let spawned = std::thread::Builder::new()
+                    .name("sbed-conn".into())
+                    .spawn(move || run_reader(conn, stream, &ctx));
                 if let Ok(h) = spawned {
                     lock(&conn_handles).push(h);
                 }
@@ -448,7 +460,7 @@ fn run_accept(
 /// shutdown flag at each) and interrupts. `Ok(false)` means the peer
 /// closed (or shutdown fired) before the first byte.
 fn read_full(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shutdown: &AtomicBool,
 ) -> std::io::Result<bool> {
@@ -482,15 +494,16 @@ fn read_full(
     Ok(true)
 }
 
-fn run_reader(
-    mut stream: TcpStream,
-    engine_tx: SyncSender<ToEngine>,
-    draining: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
-    transport_errors: Arc<AtomicU64>,
-    n_overloads: Arc<AtomicU64>,
-    conn_window: usize,
-) {
+fn run_reader(conn: u64, stream: TcpStream, ctx: &ConnCtx) {
+    let ConnCtx {
+        engine_tx,
+        draining,
+        shutdown,
+        transport_errors,
+        n_overloads,
+        conn_window,
+        queue_capacity,
+    } = ctx;
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -504,6 +517,7 @@ fn run_reader(
         Err(_) => return,
     };
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
+    let mut stream = BufReader::with_capacity(READ_BUF, stream);
     let inflight = Arc::new(AtomicUsize::new(0));
 
     loop {
@@ -511,7 +525,7 @@ fn run_reader(
             break;
         }
         let mut hdr = [0u8; wire::HEADER_LEN];
-        match read_full(&mut stream, &mut hdr, &shutdown) {
+        match read_full(&mut stream, &mut hdr, shutdown) {
             Ok(true) => {}
             Ok(false) => break,
             Err(_) => break,
@@ -534,7 +548,7 @@ fn run_reader(
                     // skip the payload and keep the connection.
                     SbedError::Version { .. } if raw.len <= wire::MAX_PAYLOAD => {
                         let mut sink = vec![0u8; raw.len as usize];
-                        match read_full(&mut stream, &mut sink, &shutdown) {
+                        match read_full(&mut stream, &mut sink, shutdown) {
                             Ok(true) => continue,
                             _ => break,
                         }
@@ -548,7 +562,7 @@ fn run_reader(
             }
         };
         let mut payload = vec![0u8; header.len as usize];
-        match read_full(&mut stream, &mut payload, &shutdown) {
+        match read_full(&mut stream, &mut payload, shutdown) {
             Ok(true) => {}
             _ => break,
         }
@@ -588,11 +602,11 @@ fn run_reader(
             continue;
         }
         let queued = inflight.load(Ordering::SeqCst);
-        if queued >= conn_window {
+        if queued >= *conn_window {
             n_overloads.fetch_add(1, Ordering::SeqCst);
             let e = SbedError::Overload {
                 queued,
-                capacity: conn_window,
+                capacity: *conn_window,
             };
             respond_error(
                 &reply_tx,
@@ -606,8 +620,11 @@ fn run_reader(
         let frame = PendingFrame {
             kind: header.kind,
             payload,
-            reply: reply_tx.clone(),
-            inflight: Arc::clone(&inflight),
+            slot: ReplySlot {
+                conn,
+                reply: reply_tx.clone(),
+                inflight: Arc::clone(&inflight),
+            },
         };
         match engine_tx.try_send(ToEngine::Frame {
             seq: header.request_id,
@@ -618,8 +635,8 @@ fn run_reader(
                 inflight.fetch_sub(1, Ordering::SeqCst);
                 n_overloads.fetch_add(1, Ordering::SeqCst);
                 let e = SbedError::Overload {
-                    queued,
-                    capacity: conn_window,
+                    queued: *queue_capacity,
+                    capacity: *queue_capacity,
                 };
                 respond_error(
                     &reply_tx,
@@ -644,8 +661,13 @@ fn run_reader(
     writer.join().ok();
 }
 
+/// Writes everything queued for the connection, one `write_all` per
+/// wake-up.
 fn run_writer(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
-    while let Ok(bytes) = rx.recv() {
+    while let Ok(mut bytes) = rx.recv() {
+        while let Ok(more) = rx.try_recv() {
+            bytes.extend_from_slice(&more);
+        }
         if stream.write_all(&bytes).is_err() {
             break;
         }
@@ -653,11 +675,35 @@ fn run_writer(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
     stream.flush().ok();
 }
 
-/// One reply route: where a request's responses go, and the in-flight
-/// slot its final response releases.
+/// One reply route: the connection a request's responses go to, and
+/// the in-flight slot its final response releases.
 struct ReplySlot {
+    conn: u64,
     reply: mpsc::Sender<Vec<u8>>,
     inflight: Arc<AtomicUsize>,
+}
+
+/// Responses for one connection that the engine has not yet handed to
+/// its writer.
+struct Outbox {
+    reply: mpsc::Sender<Vec<u8>>,
+    bytes: Vec<u8>,
+    /// Frames from this connection admitted since its last send.
+    admitted: usize,
+}
+
+/// Appends one encoded response to the outbox of `slot`'s connection.
+fn post(outbox: &mut BTreeMap<u64, Outbox>, slot: &ReplySlot, bytes: Vec<u8>) {
+    let ob = outbox.entry(slot.conn).or_insert_with(|| Outbox {
+        reply: slot.reply.clone(),
+        bytes: Vec::new(),
+        admitted: 0,
+    });
+    if ob.bytes.is_empty() {
+        ob.bytes = bytes;
+    } else {
+        ob.bytes.extend_from_slice(&bytes);
+    }
 }
 
 struct Engine<'a> {
@@ -668,27 +714,54 @@ struct Engine<'a> {
     /// keyed by `s` applies after every frame below `s` is scored and
     /// before frame `s` is admitted.
     swaps: BTreeMap<u64, Vec<u8>>,
+    /// Per-connection response batches, keyed by connection number.
+    outbox: BTreeMap<u64, Outbox>,
     next_seq: u64,
     n_admitted: u64,
     n_swaps_rejected: u64,
     log: Option<LogWriter>,
     reorder_capacity: usize,
+    conn_window: usize,
 }
 
 impl Engine<'_> {
-    /// Routes session responses to their requesters and releases
-    /// in-flight slots on terminal responses.
+    /// Routes session responses to their requesters' outboxes and
+    /// releases in-flight slots on terminal responses.
     fn route(&mut self, responses: Vec<wire::EncodedResponse>) {
         for r in responses {
             if r.last {
                 if let Some(slot) = self.open.remove(&r.request_id) {
-                    slot.reply.send(r.bytes).ok();
+                    post(&mut self.outbox, &slot, r.bytes);
                     slot.inflight.fetch_sub(1, Ordering::SeqCst);
                 }
             } else if let Some(slot) = self.open.get(&r.request_id) {
-                slot.reply.send(r.bytes).ok();
+                post(&mut self.outbox, slot, r.bytes);
             }
         }
+    }
+
+    /// Hands `conn`'s outbox to its writer as one buffer.
+    fn send_outbox(&mut self, conn: u64) {
+        if let Some(ob) = self.outbox.remove(&conn) {
+            ob.reply.send(ob.bytes).ok();
+        }
+    }
+
+    /// Hands every outbox to its writer.
+    fn send_outboxes(&mut self) {
+        for ob in std::mem::take(&mut self.outbox).into_values() {
+            ob.reply.send(ob.bytes).ok();
+        }
+    }
+
+    /// Answers request `seq` directly with a typed error and releases
+    /// its in-flight slot. The error goes out behind whatever its
+    /// connection's outbox already holds, so the connection sees the
+    /// engine's emission order.
+    fn refuse(&mut self, seq: u64, slot: &ReplySlot, code: u16, message: &str) {
+        slot.inflight.fetch_sub(1, Ordering::SeqCst);
+        post(&mut self.outbox, slot, error_frame(seq, code, message));
+        self.send_outbox(slot.conn);
     }
 
     /// Places one frame into the reorder buffer (answering stale,
@@ -700,41 +773,26 @@ impl Engine<'_> {
     /// Scoring-core and record-log failures (fatal).
     fn enqueue(&mut self, seq: u64, frame: PendingFrame, n_overloads: &AtomicU64) -> Result<()> {
         if seq < self.next_seq {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_REJECTED,
-                &format!(
-                    "sequence {seq} already admitted (next is {})",
-                    self.next_seq
-                ),
+            let message = format!(
+                "sequence {seq} already admitted (next is {})",
+                self.next_seq
             );
+            self.refuse(seq, &frame.slot, wire::ERR_REJECTED, &message);
             return Ok(());
         }
         if self.buffer.contains_key(&seq) {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_REJECTED,
-                &format!("sequence {seq} already queued"),
-            );
+            let message = format!("sequence {seq} already queued");
+            self.refuse(seq, &frame.slot, wire::ERR_REJECTED, &message);
             return Ok(());
         }
         if seq != self.next_seq && self.buffer.len() >= self.reorder_capacity {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
             n_overloads.fetch_add(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_OVERLOAD,
-                &SbedError::Overload {
-                    queued: self.buffer.len(),
-                    capacity: self.reorder_capacity,
-                }
-                .to_string(),
-            );
+            let message = SbedError::Overload {
+                queued: self.buffer.len(),
+                capacity: self.reorder_capacity,
+            }
+            .to_string();
+            self.refuse(seq, &frame.slot, wire::ERR_OVERLOAD, &message);
             return Ok(());
         }
         self.buffer.insert(seq, frame);
@@ -793,26 +851,35 @@ impl Engine<'_> {
                 let bytes = wire::encode_frame(frame.kind, seq, &frame.payload);
                 log.append(&bytes)?;
             }
-            self.open.insert(
-                seq,
-                ReplySlot {
-                    reply: frame.reply.clone(),
-                    inflight: Arc::clone(&frame.inflight),
-                },
-            );
+            let conn = frame.slot.conn;
+            self.open.insert(seq, frame.slot);
             match self.session.handle(frame.kind, seq, &frame.payload) {
-                Ok(responses) => self.route(responses),
+                Ok(responses) => {
+                    // Decisions are what clients wait on: a step that
+                    // flushed a batch sends every outbox at once.
+                    let decided = responses.iter().any(|r| r.kind == wire::KIND_SCORES);
+                    self.route(responses);
+                    if decided {
+                        self.send_outboxes();
+                    }
+                }
                 Err(e) => {
                     // Tell the requester before the daemon aborts.
-                    respond_error(
-                        &frame.reply,
-                        seq,
-                        wire::ERR_INTERNAL,
-                        &format!("scoring failed: {e}"),
-                    );
-                    self.open.remove(&seq);
-                    frame.inflight.fetch_sub(1, Ordering::SeqCst);
+                    if let Some(slot) = self.open.remove(&seq) {
+                        self.refuse(
+                            seq,
+                            &slot,
+                            wire::ERR_INTERNAL,
+                            &format!("scoring failed: {e}"),
+                        );
+                    }
                     return Err(e);
+                }
+            }
+            if let Some(ob) = self.outbox.get_mut(&conn) {
+                ob.admitted += 1;
+                if ob.admitted >= self.conn_window {
+                    self.send_outbox(conn);
                 }
             }
             if self.session.finished() {
@@ -833,10 +900,9 @@ impl Engine<'_> {
         let stuck: Vec<(u64, PendingFrame)> =
             std::mem::take(&mut self.buffer).into_iter().collect();
         for (seq, frame) in stuck {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
+            self.refuse(
                 seq,
+                &frame.slot,
                 wire::ERR_DRAINING,
                 &SbedError::Draining.to_string(),
             );
@@ -879,11 +945,13 @@ fn run_engine(
         buffer: BTreeMap::new(),
         open: BTreeMap::new(),
         swaps: BTreeMap::new(),
+        outbox: BTreeMap::new(),
         next_seq: 0,
         n_admitted: 0,
         n_swaps_rejected: 0,
         log,
         reorder_capacity: cfg.reorder_capacity,
+        conn_window: cfg.conn_window,
     };
 
     let mut fatal: Option<SbedError> = None;
@@ -891,7 +959,17 @@ fn run_engine(
         if engine.session.finished() && cfg.exit_on_finish {
             break;
         }
-        match rx.recv_timeout(POLL) {
+        let msg = match rx.try_recv() {
+            Ok(msg) => Ok(msg),
+            // The queue ran empty: hand every batch to its writer
+            // before blocking.
+            Err(TryRecvError::Empty) => {
+                engine.send_outboxes();
+                rx.recv_timeout(POLL)
+            }
+            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+        };
+        match msg {
             Ok(ToEngine::Frame { seq, frame }) => {
                 if let Err(e) = engine.enqueue(seq, frame, n_overloads) {
                     fatal = Some(e);
@@ -938,6 +1016,7 @@ fn run_engine(
             fatal = Some(e);
         }
     }
+    engine.send_outboxes();
     EngineOutcome {
         result: match fatal {
             Some(e) => Err(e),

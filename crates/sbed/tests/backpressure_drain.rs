@@ -118,6 +118,57 @@ fn reorder_buffer_and_sequence_rejections_are_typed() {
     assert!(report.n_overloads >= 1);
 }
 
+/// A full engine queue refuses with a typed ERR_OVERLOAD that names
+/// `queue_capacity`, and the refused frame retransmits cleanly. The
+/// engine opens its record log at start-up; a FIFO nobody reads yet
+/// holds it there, so nothing drains the queue until the test says so.
+#[cfg(unix)]
+#[test]
+fn engine_queue_overload_is_typed_and_names_its_bound() {
+    let dir = std::env::temp_dir().join(format!("sbed_queue_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let fifo = dir.join("log.fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo failed");
+
+    let daemon = spawn_daemon(|c| {
+        c.queue_capacity = 1;
+        c.conn_window = 7;
+        c.record_log = Some(fifo.clone());
+    });
+    let mut conn = Connection::connect(daemon.addr()).expect("conn");
+    conn.send_event(0, &tick(0)).expect("send 0"); // fills the queue
+    conn.send_event(1, &tick(1)).expect("send 1"); // queue full
+    let message = expect_error(&mut conn, 1, wire::ERR_OVERLOAD);
+    assert!(
+        message.contains("(1/1)"),
+        "overload must name queue_capacity: {message}"
+    );
+
+    // Opening the FIFO for reading releases the engine; the reader
+    // returns once the engine closes its log.
+    let reader = {
+        let fifo = fifo.clone();
+        std::thread::spawn(move || std::fs::read(fifo))
+    };
+    expect_ack(&mut conn, 0);
+    conn.send_event(1, &tick(1)).expect("resend 1");
+    expect_ack(&mut conn, 1);
+    conn.send_finish(2).expect("finish");
+    let r = conn.recv().expect("recv").expect("report");
+    assert!(matches!(r.body, ResponseBody::Report(_)));
+
+    let report = daemon.join().expect("join");
+    assert_eq!(report.report.n_events, 2);
+    assert_eq!(report.n_overloads, 1);
+    let log = reader.join().expect("log reader").expect("log read");
+    assert!(!log.is_empty(), "record log was not written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Drain finishes everything admitted, then the port closes: new
 /// connection attempts are refused by the OS.
 #[test]
@@ -148,19 +199,28 @@ fn drain_completes_admitted_work_and_closes_the_port() {
     while let Ok(Some(_)) = conn.recv() {}
 }
 
+fn event_frame(seq: u64) -> Vec<u8> {
+    wire::encode_frame(wire::KIND_EVENT, seq, &tick(seq).encode())
+}
+
 /// Recoverable transport damage (checksum, version, non-request kind)
 /// gets a typed error and the connection lives on; framing-destroying
 /// damage (bad magic) gets a typed error and then the connection
-/// closes. Neither enters the replay surface.
+/// closes. Neither enters the replay surface. The daemon reads frames
+/// through a buffer, so frame boundaries are checked too: frames
+/// coalesced into one write, or trickled one byte per write, get the
+/// same answers as one frame per write.
 #[test]
 fn live_connection_survives_recoverable_damage() {
     let daemon = spawn_daemon(|_| {});
     let addr = daemon.addr();
 
-    // A framing-destroyed connection: typed error, then closed.
+    // A framing-destroyed connection: typed error, then closed, even
+    // though a well-formed frame follows in the same write.
     let mut broken = Connection::connect(addr).expect("broken conn");
     let mut bad_magic = wire::encode_frame(wire::KIND_EVENT, 900, &tick(0).encode());
     bad_magic[0] = b'X';
+    bad_magic.extend_from_slice(&event_frame(901));
     broken.send_raw(&bad_magic).expect("send bad magic");
     expect_error(&mut broken, 900, wire::ERR_MALFORMED);
     // The server abandons the connection (clean close or reset — its
@@ -188,21 +248,58 @@ fn live_connection_survives_recoverable_damage() {
     conn.send_raw(&not_request).expect("send non-request");
     expect_error(&mut conn, 102, wire::ERR_MALFORMED);
 
-    // The same connection then carries a full run.
+    // The same connection then carries a full run: one frame per
+    // write,
     for seq in 0..3u64 {
         conn.send_event(seq, &tick(seq)).expect("send");
         expect_ack(&mut conn, seq);
     }
-    conn.send_finish(3).expect("finish");
+    // several frames in one write,
+    let coalesced: Vec<u8> = (3..6u64).flat_map(event_frame).collect();
+    conn.send_raw(&coalesced).expect("send coalesced");
+    for seq in 3..6u64 {
+        expect_ack(&mut conn, seq);
+    }
+    // one frame trickled a byte per write,
+    for byte in event_frame(6) {
+        conn.send_raw(&[byte]).expect("send byte");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    expect_ack(&mut conn, 6);
+    // and a checksum-damaged frame in the middle of a coalesced write:
+    // it is refused, and the frames after it are still answered. The
+    // refusal comes from the reader and the ACKs from the engine, so
+    // only their per-request answers are fixed, not their order.
+    let mut bad_mid = wire::encode_frame(wire::KIND_EVENT, 103, &tick(0).encode());
+    bad_mid[20] ^= 0xff;
+    let mixed: Vec<u8> = [event_frame(7), bad_mid, event_frame(8)].concat();
+    conn.send_raw(&mixed).expect("send mixed");
+    let mut answers: Vec<(u64, ResponseBody)> = (0..3)
+        .map(|_| {
+            let r = conn.recv().expect("recv").expect("response");
+            (r.request_id, r.body)
+        })
+        .collect();
+    answers.sort_by_key(|a| a.0);
+    assert_eq!(answers[0], (7, ResponseBody::Ack));
+    assert_eq!(answers[1], (8, ResponseBody::Ack));
+    assert_eq!(answers[2].0, 103);
+    assert!(
+        matches!(&answers[2].1, ResponseBody::Error(e) if e.code == wire::ERR_MALFORMED),
+        "damaged frame mid-write: {:?}",
+        answers[2].1
+    );
+
+    conn.send_finish(9).expect("finish");
     let r = conn.recv().expect("recv").expect("report");
     assert!(matches!(r.body, ResponseBody::Report(_)));
 
     let report = daemon.join().expect("join");
     assert_eq!(
-        report.report.n_events, 3,
+        report.report.n_events, 9,
         "damaged frames leaked into the session"
     );
-    assert_eq!(report.n_transport_errors, 4);
+    assert_eq!(report.n_transport_errors, 5);
 }
 
 /// A recorded run — drained mid-stream, so the end-of-log rule fires —
